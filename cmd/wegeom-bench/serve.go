@@ -69,6 +69,7 @@ type serveReport struct {
 		Requests       int64   `json:"requests"`
 		Flushes        int64   `json:"flushes"`
 		MeanBatch      float64 `json:"mean_batch"`
+		IdleFlushes    int64   `json:"idle_flushes"`
 		SizeFlushes    int64   `json:"size_flushes"`
 		TimeoutFlushes int64   `json:"timeout_flushes"`
 		DrainFlushes   int64   `json:"drain_flushes"`
@@ -424,8 +425,9 @@ func runServeBench(out string, conc, reqs, n int, updateFrac float64) error {
 	}
 	rep.Overall = summarize("overall", all, allErrs)
 	rep.Coalescing.Requests = cs.Requests
-	rep.Coalescing.Flushes = cs.SizeFlushes + cs.TimeoutFlushes + cs.DrainFlushes
+	rep.Coalescing.Flushes = cs.Flushes()
 	rep.Coalescing.MeanBatch = cs.MeanBatch()
+	rep.Coalescing.IdleFlushes = cs.IdleFlushes
 	rep.Coalescing.SizeFlushes = cs.SizeFlushes
 	rep.Coalescing.TimeoutFlushes = cs.TimeoutFlushes
 	rep.Coalescing.DrainFlushes = cs.DrainFlushes
@@ -484,8 +486,8 @@ func runServeBench(out string, conc, reqs, n int, updateFrac float64) error {
 
 	fmt.Printf("serve bench: %.0f req/s, overall p50=%.2fms p95=%.2fms p99=%.2fms (%d errors)\n",
 		rep.QPS, rep.Overall.P50ms, rep.Overall.P95ms, rep.Overall.P99ms, allErrs)
-	fmt.Printf("serve bench: mean coalesced batch %.2f over %d flushes (%d size, %d timeout); reconcile=%v\n",
-		rep.Coalescing.MeanBatch, rep.Coalescing.Flushes, cs.SizeFlushes, cs.TimeoutFlushes, rep.Reconcile.Match)
+	fmt.Printf("serve bench: mean coalesced batch %.2f over %d flushes (%d idle, %d size, %d timeout); reconcile=%v\n",
+		rep.Coalescing.MeanBatch, rep.Coalescing.Flushes, cs.IdleFlushes, cs.SizeFlushes, cs.TimeoutFlushes, rep.Reconcile.Match)
 	fmt.Printf("serve bench: wrote %s\n", out)
 	if conc >= 8 && rep.Coalescing.MeanBatch <= 1 {
 		return fmt.Errorf("serve bench: mean batch size %.2f at concurrency %d; coalescing is not engaging", rep.Coalescing.MeanBatch, conc)

@@ -5,6 +5,12 @@
 // requests of one kind into batched Engine runs so serving inherits the
 // batch layer's write-efficiency.
 //
+// Coalescing is self-clocking: a request that finds no batch of its kind
+// running is served at once, alone; requests that arrive while one runs
+// queue behind it and run together as one batch the moment it completes.
+// -max-batch caps such a batch, and -max-wait caps how long it waits behind
+// a long-running batch before it starts beside it.
+//
 // Usage:
 //
 //	go run ./cmd/wegeom-serve -addr :8080 -n 20000
@@ -68,8 +74,8 @@ func main() {
 	parallelism := flag.Int("parallelism", 0, "worker-pool size (0 = runtime default)")
 	omega := flag.Int64("omega", 0, "write/read cost ratio (0 = module default)")
 	alpha := flag.Int("alpha", 0, "alpha-labeling parameter (0 = module default)")
-	maxBatch := flag.Int("max-batch", 64, "coalescer flush size")
-	maxWait := flag.Duration("max-wait", 2*time.Millisecond, "coalescer flush timeout")
+	maxBatch := flag.Int("max-batch", 64, "most requests one coalesced batch holds")
+	maxWait := flag.Duration("max-wait", 2*time.Millisecond, "longest a request waits behind a running batch of its kind before its batch starts beside it (a request that finds none running never waits)")
 	maxInFlight := flag.Int("max-inflight", 0, "concurrent flushed batches per coalescer (0 = default 8)")
 	exclusiveReads := flag.Bool("exclusive-reads", false, "serialize read batches behind the write lock instead of running them concurrently")
 	pprofFlag := flag.Bool("pprof", false, "mount net/http/pprof under /debug/pprof/ and enable mutex/block profiling")

@@ -47,16 +47,20 @@ import (
 // behaviour. Engines are cheap — construct one per experimental variant
 // rather than reconfiguring a shared one.
 type Engine struct {
-	mu             sync.RWMutex
-	cfg            config.Config
+	mu  sync.RWMutex
+	cfg config.Config
+	// ledger is the caller's WithLedger ledger, which every run appends its
+	// phase records to; nil (the default) keeps no history. Each run
+	// records into a ledger of its own either way, unless noPhases
+	// (WithLedger(nil)) turns phase recording off.
 	ledger         *Ledger
+	noPhases       bool
 	meterSet       bool
-	ledgerSet      bool
 	exclusiveReads bool
 }
 
 // NewEngine returns an Engine with the given options applied over the
-// defaults: a fresh private meter and ledger, ω = DefaultOmega,
+// defaults: a fresh private meter, no phase history, ω = DefaultOmega,
 // α = DefaultAlpha, the Theorem 4.1 sort round cap enabled, runtime-default
 // parallelism, seed 0, and the paper's k-d parameters (p = log³n, leaf
 // size 8, exact-median splitters).
@@ -78,9 +82,6 @@ func NewEngine(opts ...Option) *Engine {
 			shards = e.cfg.Parallelism
 		}
 		e.cfg.Meter = asymmem.NewMeterShards(shards)
-	}
-	if !e.ledgerSet {
-		e.ledger = asymmem.NewLedger(e.cfg.Meter)
 	}
 	return e
 }
@@ -119,9 +120,10 @@ func (e *Engine) run(ctx context.Context, op string, f func(cfg config.Config) e
 	defer release()
 	cfg := e.cfg
 	cfg.Root = root
-	cfg.Ledger = e.ledger
+	if !e.noPhases {
+		cfg.Ledger = asymmem.NewLedger(cfg.Meter)
+	}
 	cfg.Interrupt = ctx.Err
-	phasesBefore := len(e.ledger.Phases())
 	beforeShards := cfg.Meter.PerWorker()
 	before := sumSnapshots(beforeShards)
 	var msBefore, msAfter runtime.MemStats
@@ -141,8 +143,9 @@ func (e *Engine) run(ctx context.Context, op string, f func(cfg config.Config) e
 		Allocs:    msAfter.Mallocs - msBefore.Mallocs,
 		HeapDelta: int64(msAfter.HeapAlloc) - int64(msBefore.HeapAlloc),
 	}
-	if all := e.ledger.Phases(); len(all) > phasesBefore {
-		rep.Phases = all[phasesBefore:]
+	if phases := cfg.Ledger.Phases(); len(phases) > 0 {
+		rep.Phases = phases
+		e.ledger.Append(phases)
 	}
 	if err != nil {
 		return rep, err
@@ -159,10 +162,10 @@ func (e *Engine) run(ctx context.Context, op string, f func(cfg config.Config) e
 // ledger: cfg.Meter is a fresh meter sized to the run's scope, so
 // Report.Total and PerWorker are a pure function of this run's batch —
 // bit-identical to serial execution at any P and any interleaving — and the
-// run's counts and phases fold into the Engine's meter and ledger when it
-// completes, keeping engine-lifetime totals exact. Allocs/HeapDelta are
-// reported as zero: runtime.ReadMemStats deltas are process-global and
-// would double-count overlapping runs (see Report).
+// run's counts fold into the Engine's meter when it completes, keeping
+// engine-lifetime totals exact (its phases go to the WithLedger ledger, if
+// any). Allocs/HeapDelta are reported as zero: runtime.ReadMemStats deltas
+// are process-global and would double-count overlapping runs (see Report).
 func (e *Engine) runShared(ctx context.Context, op string, f func(cfg config.Config) error) (*Report, error) {
 	if e.exclusiveReads {
 		return e.run(ctx, op, f)
@@ -182,7 +185,7 @@ func (e *Engine) runShared(ctx context.Context, op string, f func(cfg config.Con
 		cfg.Meter = asymmem.NewMeterShards(workers)
 	}
 	var runLedger *asymmem.Ledger
-	if e.ledger != nil {
+	if !e.noPhases {
 		runLedger = asymmem.NewRunLedger(cfg.Meter)
 	}
 	cfg.Ledger = runLedger

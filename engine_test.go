@@ -208,7 +208,8 @@ func TestEngineAllMethods(t *testing.T) {
 }
 
 // TestEngineSharedMeterAndLedger checks that WithMeter and WithLedger
-// accumulate across calls while per-call reports stay disjoint.
+// accumulate across calls while per-call reports stay disjoint: the ledger
+// holds every run's phases, exclusive and shared alike, in run order.
 func TestEngineSharedMeterAndLedger(t *testing.T) {
 	ctx := context.Background()
 	m := NewMeter()
@@ -233,6 +234,141 @@ func TestEngineSharedMeterAndLedger(t *testing.T) {
 	}
 	if len(led.Phases()) != len(rep1.Phases)+len(rep2.Phases) {
 		t.Fatal("shared ledger did not accumulate both calls' phases")
+	}
+
+	tree := sharedTestTree(t, NewEngine(), 500, 10)
+	_, rep3, err := eng.StabBatch(ctx, tree, []float64{0.2, 0.5, 0.8})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !rep3.Shared {
+		t.Fatal("StabBatch did not run shared")
+	}
+	_, rep4, err := eng.Sort(ctx, keys)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var want []PhaseCost
+	for _, rep := range []*Report{rep1, rep2, rep3, rep4} {
+		want = append(want, rep.Phases...)
+	}
+	if got := led.Phases(); !samePhases(got, want) {
+		t.Fatalf("ledger phases are not the runs' Report phases in order:\n got %v\nwant %v", phaseNames(got), phaseNames(want))
+	}
+}
+
+// samePhases reports whether two phase lists carry the same names and model
+// costs in the same order (Allocs/HeapDelta are runtime measurements and
+// vary between runs).
+func samePhases(a, b []PhaseCost) bool {
+	if len(a) != len(b) {
+		return false
+	}
+	for i := range a {
+		if a[i].Name != b[i].Name || a[i].Cost != b[i].Cost {
+			return false
+		}
+	}
+	return true
+}
+
+func phaseNames(ps []PhaseCost) []string {
+	out := make([]string, len(ps))
+	for i, p := range ps {
+		out[i] = p.Name
+	}
+	return out
+}
+
+// TestEngineKeepsNoPhaseHistory: a default Engine keeps no phase records of
+// its own across a mix of exclusive and shared runs, so an exclusive run
+// costs the same however many runs came before it, while every run's
+// Report.Phases is what a WithLedger Engine records for the same run, and
+// later runs never alter an earlier Report's phases.
+func TestEngineKeepsNoPhaseHistory(t *testing.T) {
+	ctx := context.Background()
+	led := NewLedger(nil)
+	def, twin := NewEngine(), NewEngine(WithLedger(led))
+
+	runs := func(eng *Engine) []*Report {
+		var reps []*Report
+		add := func(rep *Report, err error) {
+			if err != nil {
+				t.Fatal(err)
+			}
+			reps = append(reps, rep)
+		}
+		givs := gen.UniformIntervals(600, 0.02, 21)
+		ivs := make([]Interval, len(givs))
+		for i, iv := range givs {
+			ivs[i] = Interval{Left: iv.Left, Right: iv.Right, ID: iv.ID}
+		}
+		tree, rep, err := eng.NewIntervalTree(ctx, ivs)
+		add(rep, err)
+		_, rep, err = eng.StabBatch(ctx, tree, []float64{0.1, 0.4, 0.7})
+		add(rep, err)
+		_, rep, err = eng.IntervalMixedBatch(ctx, tree, []IntervalOp{
+			StabOp(0.5),
+			InsertIntervalOp(Interval{Left: 0.45, Right: 0.55, ID: 9001}),
+			StabOp(0.5),
+		})
+		add(rep, err)
+		_, rep, err = eng.StabCountBatch(ctx, tree, []float64{0.3, 0.5})
+		add(rep, err)
+		_, rep, err = eng.Sort(ctx, gen.UniformFloats(500, 22))
+		add(rep, err)
+		return reps
+	}
+	got, want := runs(def), runs(twin)
+	kept := make([][]PhaseCost, len(got))
+	for i, rep := range got {
+		kept[i] = append([]PhaseCost(nil), rep.Phases...)
+	}
+
+	if def.ledger != nil {
+		t.Fatalf("default Engine holds a phase ledger with %d records", len(def.ledger.Phases()))
+	}
+	var history []PhaseCost
+	for i, rep := range got {
+		if len(rep.Phases) == 0 {
+			t.Fatalf("run %d (%s) reported no phases", i, rep.Op)
+		}
+		if !samePhases(rep.Phases, want[i].Phases) {
+			t.Errorf("run %d (%s) phases %v, WithLedger twin %v", i, rep.Op, phaseNames(rep.Phases), phaseNames(want[i].Phases))
+		}
+		if !samePhases(rep.Phases, kept[i]) {
+			t.Errorf("run %d (%s) phases changed after later runs", i, rep.Op)
+		}
+		history = append(history, want[i].Phases...)
+	}
+	if !samePhases(led.Phases(), history) {
+		t.Errorf("WithLedger ledger %v, want the runs' phases in order %v", phaseNames(led.Phases()), phaseNames(history))
+	}
+}
+
+// TestWithLedgerNilRecordsNoPhases: WithLedger(nil) turns phase recording
+// off for exclusive and shared runs alike, without touching the totals.
+func TestWithLedgerNilRecordsNoPhases(t *testing.T) {
+	ctx := context.Background()
+	eng := NewEngine(WithLedger(nil))
+	givs := gen.UniformIntervals(400, 0.02, 23)
+	ivs := make([]Interval, len(givs))
+	for i, iv := range givs {
+		ivs[i] = Interval{Left: iv.Left, Right: iv.Right, ID: iv.ID}
+	}
+	tree, rep, err := eng.NewIntervalTree(ctx, ivs)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if rep.Phases != nil || rep.Total.Writes == 0 {
+		t.Errorf("exclusive run: phases %v, total %v; want no phases and a non-zero total", phaseNames(rep.Phases), rep.Total)
+	}
+	_, rep, err = eng.StabBatch(ctx, tree, []float64{0.5})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if rep.Phases != nil || rep.Total.Reads == 0 {
+		t.Errorf("shared run: phases %v, total %v; want no phases and a non-zero total", phaseNames(rep.Phases), rep.Total)
 	}
 }
 

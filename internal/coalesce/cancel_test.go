@@ -38,10 +38,10 @@ func TestSubmitAllCancelMidFlush(t *testing.T) {
 		}
 		return out, nil
 	}
-	// MaxBatch counts admitted requests, so the third submitter below is
-	// what triggers the size flush; the fake clock never fires MaxWait.
-	c := New(run, Options{MaxBatch: 3, MaxWait: time.Hour, Clock: &fakeClock{}})
-	defer c.Close()
+	// The three requests queue behind a held batch. MaxBatch counts
+	// admitted requests, so the third submitter below is what triggers the
+	// size flush; the fake clock never fires MaxWait.
+	c, _ := heldCoalescer(t, run, Options{MaxBatch: 3, MaxWait: time.Hour, Clock: &fakeClock{}})
 
 	type result struct {
 		res [][]int

@@ -6,15 +6,27 @@
 // its write pass — one scan, one offset array, contiguous packed output —
 // across the whole batch, so under the asymmetric read/write model a batch of
 // b queries is strictly cheaper than b one-shot runs. But a daemon receives
-// queries one at a time. The coalescer buys back the batch discount by
-// holding each request briefly: a batch flushes when it reaches MaxBatch
-// requests or when the oldest member has waited MaxWait, whichever comes
-// first. Under load the size trigger dominates and latency added is ~0;
-// when idle the time trigger bounds added latency at MaxWait.
+// queries one at a time, and holding a request back to wait for company
+// only pays when there is something to wait behind. The coalescer is
+// therefore self-clocking, like a database's group commit:
+//
+//   - A request that arrives while no flushed batch of its kind is
+//     outstanding runs at once, alone, on the caller's goroutine — no timer,
+//     no handoff.
+//   - Requests that arrive while a batch is outstanding accumulate in a
+//     follower window, which flushes as one batch the moment the last
+//     outstanding batch completes, or as soon as it holds MaxBatch
+//     requests.
+//   - MaxWait only caps how long a follower window waits behind a long
+//     batch: after it the window flushes into another of the MaxInFlight
+//     slots.
+//
+// Batch size thus tracks load without tuning: one when requests arrive
+// alone, and as many as arrived during the previous run when they do not.
 //
 // Flush rules are deterministic and unit-testable: the Clock is injected, so
-// tests drive the timeout path with a fake clock and the size path with
-// plain concurrency.
+// tests drive the timeout path with a fake clock, and a runner gated on a
+// channel holds a batch outstanding while a test stages followers behind it.
 package coalesce
 
 import (
@@ -40,18 +52,18 @@ func (realClock) After(d time.Duration) <-chan time.Time { return time.After(d) 
 
 // Options tunes one coalescer.
 type Options struct {
-	// MaxBatch flushes a batch as soon as this many requests are pending.
-	// Default 64.
+	// MaxBatch flushes a follower window as soon as this many requests are
+	// pending in it. Default 64.
 	MaxBatch int
-	// MaxWait flushes a batch once its oldest request has waited this long.
-	// Default 2ms.
+	// MaxWait caps how long a follower window waits behind an outstanding
+	// batch before it flushes into another in-flight slot. A request that
+	// finds no batch outstanding never waits. Default 2ms.
 	MaxWait time.Duration
 	// MaxInFlight bounds how many flushed batches may execute concurrently.
-	// While one batch runs, the next window keeps filling and flushes into
-	// another slot, so read batches pipeline into the engine's shared
-	// execution mode instead of queueing behind a single run; a flush past
-	// the bound blocks (backpressure) rather than queueing unboundedly.
-	// Default 8.
+	// Size and timeout flushes run beside the outstanding batch, so read
+	// batches pipeline into the engine's shared execution mode instead of
+	// queueing behind a single run; a flush past the bound blocks
+	// (backpressure) rather than queueing unboundedly. Default 8.
 	MaxInFlight int
 	// Clock is the time source; nil means real time.
 	Clock Clock
@@ -93,10 +105,14 @@ type Runner[Q, R any] func(ctx context.Context, qs []Q) (Demux[R], error)
 
 // Stats is a snapshot of one coalescer's counters.
 type Stats struct {
-	Requests       int64 // requests admitted into a batch
-	Batches        int64 // batches run (including retries)
-	SizeFlushes    int64 // flushes triggered by MaxBatch
-	TimeoutFlushes int64 // flushes triggered by MaxWait
+	Requests int64 // requests admitted into a batch
+	Batches  int64 // batches run (including retries)
+	// IdleFlushes counts flushes made because no batch of the kind was
+	// outstanding: a request that arrived to an idle coalescer, or a
+	// follower window flushed when the last outstanding batch completed.
+	IdleFlushes    int64
+	SizeFlushes    int64 // follower windows flushed at MaxBatch
+	TimeoutFlushes int64 // follower windows flushed at MaxWait behind a long batch
 	DrainFlushes   int64 // flushes triggered by Close
 	Retries        int64 // batch re-runs after a member's cancellation aborted a run
 	InFlight       int64 // batches executing at snapshot time (gauge)
@@ -106,10 +122,20 @@ type Stats struct {
 	SizeHist [17]int64
 }
 
+// Flushes returns the number of flushed batches, whatever their trigger
+// (the sum of SizeHist).
+func (s Stats) Flushes() int64 {
+	var n int64
+	for _, c := range s.SizeHist {
+		n += c
+	}
+	return n
+}
+
 // MeanBatch returns the mean achieved batch size (requests per flush), or 0
 // before the first flush.
 func (s Stats) MeanBatch() float64 {
-	flushes := s.SizeFlushes + s.TimeoutFlushes + s.DrainFlushes
+	flushes := s.Flushes()
 	if flushes == 0 {
 		return 0
 	}
@@ -148,16 +174,20 @@ type Coalescer[Q, R any] struct {
 	opts Options
 	sem  chan struct{} // in-flight batch slots (cap MaxInFlight)
 
-	mu      sync.Mutex
-	pending []*request[Q, R]
-	// gen numbers the current accumulation window; the timer goroutine
+	mu sync.Mutex
+	// outstanding counts flushed batches that have not completed, including
+	// any still waiting for a slot. The follower window is non-empty only
+	// while outstanding > 0: whatever drives it to 0 flushes the window.
+	outstanding int
+	pending     []*request[Q, R]
+	// gen numbers the current follower window; the timer goroutine
 	// re-checks it so a timer from an already-flushed window does nothing.
 	gen    uint64
 	quit   chan struct{} // closed when the current window flushes early
 	closed bool
 	stats  Stats
 
-	wg sync.WaitGroup // open batch runs + live timers; Close waits on it
+	wg sync.WaitGroup // outstanding batches + live timers; Close waits on it
 }
 
 // New builds a coalescer that executes batches with run.
@@ -173,7 +203,7 @@ func (c *Coalescer[Q, R]) Stats() Stats {
 	return c.stats
 }
 
-// Pending returns the number of requests parked in the open window — for
+// Pending returns the number of requests parked in the follower window — for
 // tests and drain diagnostics; the value is stale the moment it returns.
 func (c *Coalescer[Q, R]) Pending() int {
 	c.mu.Lock()
@@ -182,15 +212,35 @@ func (c *Coalescer[Q, R]) Pending() int {
 }
 
 const (
-	flushSize = iota
+	flushIdle = iota
+	flushSize
 	flushTimeout
 	flushDrain
 )
 
-// takeLocked steals the pending window for a flush, advances the generation,
-// and records the flush in the counters. Callers hold c.mu and then run the
-// returned members (takeLocked has already taken the wg obligation that
-// runBatch releases).
+// flushLocked records members as one flushed batch. The caller holds c.mu
+// and must then run the batch: runBatch releases the outstanding count and
+// the wg obligation taken here.
+func (c *Coalescer[Q, R]) flushLocked(members []*request[Q, R], reason int) {
+	switch reason {
+	case flushIdle:
+		c.stats.IdleFlushes++
+	case flushSize:
+		c.stats.SizeFlushes++
+	case flushTimeout:
+		c.stats.TimeoutFlushes++
+	case flushDrain:
+		c.stats.DrainFlushes++
+	}
+	c.stats.Requests += int64(len(members))
+	c.stats.SizeHist[histBucket(len(members))]++
+	c.outstanding++
+	c.wg.Add(1)
+}
+
+// takeLocked steals the follower window for a flush, advances the generation
+// so its timer stands down, and records the flush. It returns nil, and
+// records nothing, when the window is empty. Callers hold c.mu.
 func (c *Coalescer[Q, R]) takeLocked(reason int) []*request[Q, R] {
 	members := c.pending
 	c.pending = nil
@@ -202,17 +252,7 @@ func (c *Coalescer[Q, R]) takeLocked(reason int) []*request[Q, R] {
 	if len(members) == 0 {
 		return nil
 	}
-	switch reason {
-	case flushSize:
-		c.stats.SizeFlushes++
-	case flushTimeout:
-		c.stats.TimeoutFlushes++
-	case flushDrain:
-		c.stats.DrainFlushes++
-	}
-	c.stats.Requests += int64(len(members))
-	c.stats.SizeHist[histBucket(len(members))]++
-	c.wg.Add(1)
+	c.flushLocked(members, reason)
 	return members
 }
 
@@ -248,16 +288,25 @@ func (c *Coalescer[Q, R]) SubmitAll(ctx context.Context, qs []Q) ([][]R, error) 
 		c.mu.Unlock()
 		return nil, ErrClosed
 	}
-	c.pending = append(c.pending, r)
-	if len(c.pending) >= c.opts.MaxBatch {
-		// Size flush: the filling request's goroutine is the leader and runs
-		// the batch itself — no handoff latency on the hot path.
+	switch {
+	case c.outstanding == 0:
+		// Idle: there is nothing to batch behind, so the request runs alone
+		// at once on the caller's goroutine.
+		members := []*request[Q, R]{r}
+		c.flushLocked(members, flushIdle)
+		c.mu.Unlock()
+		c.runBatch(members)
+	case len(c.pending)+1 >= c.opts.MaxBatch:
+		// Size flush: the filling request's goroutine runs the window
+		// itself, beside the outstanding batch.
+		c.pending = append(c.pending, r)
 		members := c.takeLocked(flushSize)
 		c.mu.Unlock()
 		c.runBatch(members)
-	} else {
+	default:
+		c.pending = append(c.pending, r)
 		if len(c.pending) == 1 {
-			// First request of a new window: arm the MaxWait timer.
+			// First follower of a new window: arm the MaxWait cap.
 			quit := make(chan struct{})
 			c.quit = quit
 			gen := c.gen
@@ -277,8 +326,9 @@ func (c *Coalescer[Q, R]) SubmitAll(ctx context.Context, qs []Q) ([][]R, error) 
 	}
 }
 
-// timer flushes the window opened at generation gen once MaxWait elapses,
-// unless the window already flushed (gen moved on or quit closed).
+// timer flushes the follower window opened at generation gen into another
+// slot once MaxWait elapses, unless the window already flushed (gen moved on
+// or quit closed).
 func (c *Coalescer[Q, R]) timer(gen uint64, quit chan struct{}) {
 	defer c.wg.Done()
 	select {
@@ -296,15 +346,33 @@ func (c *Coalescer[Q, R]) timer(gen uint64, quit chan struct{}) {
 	c.runBatch(members)
 }
 
-// runBatch executes one flushed window, retrying with the surviving members
-// when a member's cancellation aborts the shared run. Each retry removes at
-// least one (canceled) member, so the loop terminates.
-//
-// Batches pipeline: up to MaxInFlight flushed windows execute concurrently
-// (the engine's shared mode lets read batches overlap), and the window that
-// would exceed the bound blocks here until a slot frees.
+// runBatch executes one flushed batch, then retires it: if that leaves no
+// batch of the kind outstanding, the follower window that accumulated
+// meanwhile flushes at once, on a goroutine of its own so this caller
+// returns with its own results.
 func (c *Coalescer[Q, R]) runBatch(members []*request[Q, R]) {
 	defer c.wg.Done()
+	c.execute(members)
+	c.mu.Lock()
+	c.outstanding--
+	var next []*request[Q, R]
+	if c.outstanding == 0 {
+		next = c.takeLocked(flushIdle)
+	}
+	c.mu.Unlock()
+	if next != nil {
+		go c.runBatch(next)
+	}
+}
+
+// execute runs one batch in an in-flight slot, retrying with the surviving
+// members when a member's cancellation aborts the shared run. Each retry
+// removes at least one (canceled) member, so the loop terminates.
+//
+// Batches pipeline: up to MaxInFlight flushed batches execute concurrently
+// (the engine's shared mode lets read batches overlap), and a batch that
+// would exceed the bound blocks here until a slot frees.
+func (c *Coalescer[Q, R]) execute(members []*request[Q, R]) {
 	c.sem <- struct{}{}
 	c.mu.Lock()
 	c.stats.InFlight++
@@ -313,6 +381,8 @@ func (c *Coalescer[Q, R]) runBatch(members []*request[Q, R]) {
 	}
 	c.mu.Unlock()
 	defer func() {
+		// The gauge drops before the slot frees, so a batch that takes the
+		// slot next can never push InFlight past MaxInFlight.
 		c.mu.Lock()
 		c.stats.InFlight--
 		c.mu.Unlock()
@@ -409,8 +479,8 @@ func (c *Coalescer[Q, R]) runBatch(members []*request[Q, R]) {
 	}
 }
 
-// Close flushes the pending window, waits for every in-flight batch and
-// timer to finish, and makes further Submits fail with ErrClosed.
+// Close flushes the follower window at once, waits for every outstanding
+// batch and timer to finish, and makes further Submits fail with ErrClosed.
 func (c *Coalescer[Q, R]) Close() {
 	c.mu.Lock()
 	if c.closed {

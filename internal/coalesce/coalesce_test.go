@@ -66,14 +66,52 @@ func echoRunner(sizes *[]int, mu *sync.Mutex) Runner[int, int] {
 	}
 }
 
+// held is the query of the batch heldCoalescer keeps outstanding.
+const held = -1
+
+// heldCoalescer builds a coalescer over run and keeps one batch of its kind
+// outstanding: a lone held query that parks in the runner until release is
+// called, so the test's own requests queue behind it in a follower window.
+// Test cleanup releases the held batch, then closes the coalescer; release
+// may also be called earlier, and more than once.
+func heldCoalescer(t *testing.T, run Runner[int, int], opts Options) (c *Coalescer[int, int], release func()) {
+	t.Helper()
+	gate := make(chan struct{})
+	c = New(func(ctx context.Context, qs []int) (Demux[int], error) {
+		if len(qs) == 1 && qs[0] == held {
+			<-gate
+			return Slice[int]{held}, nil
+		}
+		return run(ctx, qs)
+	}, opts)
+	t.Cleanup(c.Close)
+	done := make(chan error, 1)
+	go func() {
+		_, err := c.Submit(context.Background(), held)
+		done <- err
+	}()
+	var once sync.Once
+	release = func() {
+		once.Do(func() {
+			close(gate)
+			if err := <-done; err != nil {
+				t.Errorf("held submit: %v", err)
+			}
+		})
+	}
+	t.Cleanup(release)
+	waitFor(t, "held batch in flight", func() bool { return c.Stats().InFlight == 1 })
+	return c, release
+}
+
 func TestFlushBySize(t *testing.T) {
 	clk := &fakeClock{}
 	var sizes []int
 	var mu sync.Mutex
-	c := New(echoRunner(&sizes, &mu), Options{MaxBatch: 4, MaxWait: time.Hour, Clock: clk})
-	defer c.Close()
+	c, _ := heldCoalescer(t, echoRunner(&sizes, &mu), Options{MaxBatch: 4, MaxWait: time.Hour, Clock: clk})
 
-	// Stage 3 submitters; none should complete (size 3 < 4, timer never fires).
+	// Stage 3 submitters behind the held batch; none should complete (size
+	// 3 < 4, the held batch stays outstanding, timer never fires).
 	var wg sync.WaitGroup
 	results := make([]int, 4)
 	for i := 0; i < 3; i++ {
@@ -100,7 +138,8 @@ func TestFlushBySize(t *testing.T) {
 	}
 	mu.Unlock()
 
-	// The 4th submit fills the window and flushes it synchronously.
+	// The 4th submit fills the window and flushes it synchronously, while
+	// the held batch is still outstanding.
 	res, err := c.Submit(context.Background(), 3)
 	if err != nil || len(res) != 1 || res[0] != 3 {
 		t.Fatalf("filling submit: res=%v err=%v", res, err)
@@ -117,7 +156,8 @@ func TestFlushBySize(t *testing.T) {
 		t.Fatalf("batch sizes = %v, want [4]", sizes)
 	}
 	st := c.Stats()
-	if st.SizeFlushes != 1 || st.TimeoutFlushes != 0 || st.Requests != 4 {
+	// Requests counts the held request too.
+	if st.SizeFlushes != 1 || st.TimeoutFlushes != 0 || st.IdleFlushes != 1 || st.Requests != 5 {
 		t.Errorf("stats = %+v", st)
 	}
 	if st.SizeHist[2] != 1 { // 4 lands in bucket [4, 8)
@@ -129,8 +169,7 @@ func TestFlushByTimeout(t *testing.T) {
 	clk := &fakeClock{}
 	var sizes []int
 	var mu sync.Mutex
-	c := New(echoRunner(&sizes, &mu), Options{MaxBatch: 100, MaxWait: time.Hour, Clock: clk})
-	defer c.Close()
+	c, _ := heldCoalescer(t, echoRunner(&sizes, &mu), Options{MaxBatch: 100, MaxWait: time.Hour, Clock: clk})
 
 	done := make(chan struct{})
 	go func() {
@@ -150,7 +189,8 @@ func TestFlushByTimeout(t *testing.T) {
 	<-done
 
 	st := c.Stats()
-	if st.TimeoutFlushes != 1 || st.SizeFlushes != 0 || st.Requests != 1 {
+	// Requests counts the held request too.
+	if st.TimeoutFlushes != 1 || st.SizeFlushes != 0 || st.Requests != 2 {
 		t.Errorf("stats = %+v", st)
 	}
 }
@@ -159,11 +199,11 @@ func TestStaleTimerIsIgnored(t *testing.T) {
 	clk := &fakeClock{}
 	var sizes []int
 	var mu sync.Mutex
-	c := New(echoRunner(&sizes, &mu), Options{MaxBatch: 2, MaxWait: time.Hour, Clock: clk})
-	defer c.Close()
+	c, _ := heldCoalescer(t, echoRunner(&sizes, &mu), Options{MaxBatch: 2, MaxWait: time.Hour, Clock: clk})
 
-	// Fill a window by size (arming, then early-quitting, its timer), then
-	// fire the stale timer and check it does not flush the next window.
+	// Behind the held batch, fill a window by size (arming, then
+	// early-quitting, its timer), then fire the stale timer and check it
+	// does not flush the next window.
 	var wg sync.WaitGroup
 	wg.Add(1)
 	go func() {
@@ -206,8 +246,7 @@ func TestDemuxMixedSizes(t *testing.T) {
 		}
 		return packed[int]{items: items, off: off}, nil
 	}
-	c := New(run, Options{MaxBatch: 8, MaxWait: time.Hour, Clock: &fakeClock{}})
-	defer c.Close()
+	c, _ := heldCoalescer(t, run, Options{MaxBatch: 8, MaxWait: time.Hour, Clock: &fakeClock{}})
 
 	var wg sync.WaitGroup
 	errs := make(chan error, 8)
@@ -253,8 +292,7 @@ func TestCancelAffectsOnlyCaller(t *testing.T) {
 	clk := &fakeClock{}
 	var sizes []int
 	var mu sync.Mutex
-	c := New(echoRunner(&sizes, &mu), Options{MaxBatch: 3, MaxWait: time.Hour, Clock: clk})
-	defer c.Close()
+	c, _ := heldCoalescer(t, echoRunner(&sizes, &mu), Options{MaxBatch: 3, MaxWait: time.Hour, Clock: clk})
 
 	ctx, cancel := context.WithCancel(context.Background())
 	canceledDone := make(chan error, 1)
@@ -312,8 +350,7 @@ func TestCancelRetriesSurvivors(t *testing.T) {
 		copy(out, qs)
 		return out, nil
 	}
-	c := New(run, Options{MaxBatch: 2, MaxWait: time.Hour, Clock: &fakeClock{}})
-	defer c.Close()
+	c, _ := heldCoalescer(t, run, Options{MaxBatch: 2, MaxWait: time.Hour, Clock: &fakeClock{}})
 
 	victimDone := make(chan error, 1)
 	go func() {
@@ -325,7 +362,8 @@ func TestCancelRetriesSurvivors(t *testing.T) {
 		defer c.mu.Unlock()
 		return len(c.pending) == 1
 	})
-	// Survivor fills the window and must get its result from the retry.
+	// Survivor fills the window behind the held batch and must get its
+	// result from the retry.
 	res, err := c.Submit(context.Background(), 9)
 	if err != nil || len(res) != 1 || res[0] != 9 {
 		t.Fatalf("survivor: res=%v err=%v", res, err)
@@ -376,7 +414,7 @@ func TestCloseDrainsPending(t *testing.T) {
 	clk := &fakeClock{}
 	var sizes []int
 	var mu sync.Mutex
-	c := New(echoRunner(&sizes, &mu), Options{MaxBatch: 100, MaxWait: time.Hour, Clock: clk})
+	c, release := heldCoalescer(t, echoRunner(&sizes, &mu), Options{MaxBatch: 100, MaxWait: time.Hour, Clock: clk})
 
 	done := make(chan error, 1)
 	go func() {
@@ -391,10 +429,18 @@ func TestCloseDrainsPending(t *testing.T) {
 		defer c.mu.Unlock()
 		return len(c.pending) == 1
 	})
-	c.Close()
+	// Close flushes the window at once, without waiting for the held
+	// batch, then waits for the held batch to finish.
+	closed := make(chan struct{})
+	go func() {
+		c.Close()
+		close(closed)
+	}()
 	if err := <-done; err != nil {
 		t.Fatalf("drained submit: %v", err)
 	}
+	release()
+	<-closed
 	if st := c.Stats(); st.DrainFlushes != 1 {
 		t.Errorf("stats = %+v, want 1 drain flush", st)
 	}

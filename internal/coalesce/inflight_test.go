@@ -104,3 +104,64 @@ func TestInFlightSerializedAtOne(t *testing.T) {
 	}
 	c.Close()
 }
+
+// TestInFlightPeakBoundedUnderChurn drives idle, size and timeout flushes at
+// once under real time and checks that neither the runner nor the
+// InFlightPeak gauge ever sees more than MaxInFlight concurrent batches, and
+// that every flush is counted by exactly one trigger — run with -race.
+func TestInFlightPeakBoundedUnderChurn(t *testing.T) {
+	const maxInFlight = 3
+	var running, peak atomic.Int64
+	c := New(func(ctx context.Context, qs []int) (Demux[int], error) {
+		n := running.Add(1)
+		for {
+			p := peak.Load()
+			if n <= p || peak.CompareAndSwap(p, n) {
+				break
+			}
+		}
+		time.Sleep(100 * time.Microsecond)
+		running.Add(-1)
+		out := make(Slice[int], len(qs))
+		copy(out, qs)
+		return out, nil
+	}, Options{MaxBatch: 2, MaxWait: 50 * time.Microsecond, MaxInFlight: maxInFlight})
+
+	const G, per = 16, 100
+	var wg sync.WaitGroup
+	for g := 0; g < G; g++ {
+		wg.Add(1)
+		go func(g int) {
+			defer wg.Done()
+			for i := 0; i < per; i++ {
+				q := g*per + i
+				res, err := c.Submit(context.Background(), q)
+				if err != nil || len(res) != 1 || res[0] != q {
+					t.Errorf("query %d: res=%v err=%v", q, res, err)
+					return
+				}
+			}
+		}(g)
+	}
+	wg.Wait()
+	c.Close()
+
+	st := c.Stats()
+	if p := peak.Load(); p > maxInFlight {
+		t.Errorf("runner saw %d concurrent batches, MaxInFlight is %d", p, maxInFlight)
+	}
+	if st.InFlightPeak > maxInFlight || st.InFlight != 0 {
+		t.Errorf("InFlightPeak=%d InFlight=%d, want <= %d and 0", st.InFlightPeak, st.InFlight, maxInFlight)
+	}
+	if st.Requests != G*per {
+		t.Errorf("Requests=%d, want %d", st.Requests, G*per)
+	}
+	if byTrigger := st.IdleFlushes + st.SizeFlushes + st.TimeoutFlushes + st.DrainFlushes; byTrigger != st.Flushes() {
+		t.Errorf("flushes by trigger sum to %d, batch-size histogram holds %d: %+v", byTrigger, st.Flushes(), st)
+	}
+	if st.IdleFlushes == 0 || st.SizeFlushes == 0 {
+		t.Errorf("stats = %+v, want both idle and size flushes under churn", st)
+	}
+	t.Logf("churn: %d flushes (idle %d, size %d, timeout %d), mean batch %.2f, in-flight peak %d",
+		st.Flushes(), st.IdleFlushes, st.SizeFlushes, st.TimeoutFlushes, st.MeanBatch(), st.InFlightPeak)
+}

@@ -25,9 +25,9 @@ func TestSubmitAllContiguousOrdered(t *testing.T) {
 		}
 		return out, nil
 	}
-	c := New(run, Options{MaxBatch: 3, MaxWait: time.Hour, Clock: &fakeClock{}})
-	defer c.Close()
+	c, _ := heldCoalescer(t, run, Options{MaxBatch: 3, MaxWait: time.Hour, Clock: &fakeClock{}})
 
+	// The three runs queue behind the held batch; the third fills the window.
 	runs := [][]int{{100, 101, 102, 103}, {200, 201}, {300}}
 	var wg sync.WaitGroup
 	errs := make(chan error, len(runs))
@@ -120,8 +120,7 @@ func TestSubmitAllVariableResultCounts(t *testing.T) {
 		}
 		return packed[int]{items: items, off: off}, nil
 	}
-	c := New(run, Options{MaxBatch: 2, MaxWait: time.Hour, Clock: &fakeClock{}})
-	defer c.Close()
+	c, _ := heldCoalescer(t, run, Options{MaxBatch: 2, MaxWait: time.Hour, Clock: &fakeClock{}})
 
 	var wg sync.WaitGroup
 	wg.Add(1)
@@ -146,7 +145,8 @@ func TestSubmitAllVariableResultCounts(t *testing.T) {
 			}
 		}
 	}()
-	// Second request fills the 2-request window and flushes it.
+	// Second request fills the 2-request window behind the held batch and
+	// flushes it.
 	res, err := c.Submit(context.Background(), 1)
 	if err != nil || len(res) != 1 || res[0] != 100 {
 		t.Fatalf("filling submit: res=%v err=%v", res, err)

@@ -105,8 +105,9 @@ func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 	}
 
 	cs := s.CoalesceStats()
-	b.WriteString("# HELP wegeom_coalesce_flushes_total Coalesced-batch flushes, by trigger.\n")
+	b.WriteString("# HELP wegeom_coalesce_flushes_total Coalesced-batch flushes, by trigger: idle (no batch of the kind outstanding), size (MaxBatch), timeout (MaxWait behind a long batch), drain (shutdown).\n")
 	b.WriteString("# TYPE wegeom_coalesce_flushes_total counter\n")
+	fmt.Fprintf(&b, "wegeom_coalesce_flushes_total{trigger=\"idle\"} %d\n", cs.IdleFlushes)
 	fmt.Fprintf(&b, "wegeom_coalesce_flushes_total{trigger=\"size\"} %d\n", cs.SizeFlushes)
 	fmt.Fprintf(&b, "wegeom_coalesce_flushes_total{trigger=\"timeout\"} %d\n", cs.TimeoutFlushes)
 	fmt.Fprintf(&b, "wegeom_coalesce_flushes_total{trigger=\"drain\"} %d\n", cs.DrainFlushes)

@@ -384,6 +384,7 @@ func (s *Server) CoalesceStats() coalesce.Stats {
 		st := c.Stats()
 		out.Requests += st.Requests
 		out.Batches += st.Batches
+		out.IdleFlushes += st.IdleFlushes
 		out.SizeFlushes += st.SizeFlushes
 		out.TimeoutFlushes += st.TimeoutFlushes
 		out.DrainFlushes += st.DrainFlushes
@@ -426,7 +427,7 @@ func (s *Server) knnFor(k int) *coalesce.Coalescer[wegeom.KPoint, wegeom.KDItem]
 	return c
 }
 
-// Close drains every coalescer (pending windows flush, in-flight batches
+// Close drains every coalescer (follower windows flush, in-flight batches
 // finish) and rejects further submissions. Safe to call once.
 func (s *Server) Close() {
 	s.mu.Lock()

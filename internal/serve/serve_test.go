@@ -5,6 +5,7 @@ import (
 	"context"
 	"encoding/json"
 	"fmt"
+	"io"
 	"net/http"
 	"net/http/httptest"
 	"path/filepath"
@@ -168,10 +169,18 @@ func TestMetricsReconcile(t *testing.T) {
 		}
 	}
 
-	// The histogram's sum is the number of coalesced requests, and the
-	// request counters saw every HTTP call.
+	// The histogram's sum is the number of coalesced requests, its count
+	// the number of flushes, each counted under exactly one trigger; and
+	// the request counters saw every HTTP call.
 	if m["wegeom_coalesce_batch_size_sum"] != 120 {
 		t.Errorf("coalesced %v requests, want 120", m["wegeom_coalesce_batch_size_sum"])
+	}
+	byTrigger := 0.0
+	for _, trigger := range []string{"idle", "size", "timeout", "drain"} {
+		byTrigger += m[fmt.Sprintf("wegeom_coalesce_flushes_total{trigger=%q}", trigger)]
+	}
+	if flushes := m["wegeom_coalesce_batch_size_count"]; byTrigger != flushes || flushes == 0 {
+		t.Errorf("flushes by trigger sum to %v, batch-size histogram counts %v", byTrigger, flushes)
 	}
 	served := m[`wegeom_requests_total{endpoint="/stab"}`] +
 		m[`wegeom_requests_total{endpoint="/stab/count"}`] +
@@ -224,21 +233,65 @@ func TestCloseDrains(t *testing.T) {
 	s := bootTestServer(t, Config{MaxBatch: 1000, MaxWait: time.Hour})
 	h := s.Handler()
 
-	// This request parks in the coalescer window (size 1 < 1000, timer 1h);
-	// only Close's drain flush can release it.
-	done := make(chan map[string]any, 1)
+	// A checkpoint save into a pipe nobody reads yet holds the Engine's
+	// exclusive run lock, so the first /stab/count runs at once but blocks
+	// in the Engine, keeping a batch of its kind outstanding.
+	pr, pw := io.Pipe()
+	saved := make(chan error, 1)
 	go func() {
-		done <- getJSON(t, h, "/stab/count?q=0.5")
+		_, err := s.Engine().SaveCheckpoint(context.Background(), pw, s.Checkpoint())
+		pw.CloseWithError(err)
+		saved <- err
 	}()
+	if _, err := pr.Read(make([]byte, 1)); err != nil {
+		t.Fatalf("checkpoint never started writing: %v", err)
+	}
+	type result struct {
+		code int
+		body string
+	}
+	query := func() chan result {
+		done := make(chan result, 1)
+		go func() {
+			code, body := get(t, h, "/stab/count?q=0.5")
+			done <- result{code, body}
+		}()
+		return done
+	}
+	first := query()
+	waitFor(t, "the first request in flight", func() bool { return s.stabCount.Stats().InFlight == 1 })
+
+	// The second request parks in the follower window behind the first
+	// (size 1 < 1000, timer 1h); only Close's drain flush can release it.
+	second := query()
 	waitForPending(t, s)
-	s.Close()
-	select {
-	case res := <-done:
-		if _, ok := res["count"]; !ok {
-			t.Errorf("drained request got %v", res)
+	closed := make(chan struct{})
+	go func() {
+		s.Close()
+		close(closed)
+	}()
+	waitFor(t, "Close to flush the window", func() bool { return s.stabCount.Pending() == 0 })
+
+	// Let the checkpoint finish so the Engine runs both batches.
+	if _, err := io.Copy(io.Discard, pr); err != nil {
+		t.Fatalf("reading checkpoint: %v", err)
+	}
+	if err := <-saved; err != nil {
+		t.Fatalf("SaveCheckpoint: %v", err)
+	}
+	for i, done := range []chan result{first, second} {
+		select {
+		case res := <-done:
+			if res.code != http.StatusOK || !strings.Contains(res.body, "count") {
+				t.Errorf("request %d: status %d, body %q", i, res.code, res.body)
+			}
+		case <-time.After(5 * time.Second):
+			t.Fatalf("request %d never completed", i)
 		}
-	case <-time.After(5 * time.Second):
-		t.Fatal("drained request never completed")
+	}
+	<-closed
+	if cs := s.CoalesceStats(); cs.IdleFlushes != 1 || cs.DrainFlushes != 1 {
+		t.Errorf("coalesce stats %+v, want the first request run idle and the second drained", cs)
 	}
 
 	if code, _ := get(t, h, "/stab/count?q=0.5"); code != http.StatusServiceUnavailable {
@@ -249,13 +302,18 @@ func TestCloseDrains(t *testing.T) {
 	}
 }
 
-func waitForPending(t *testing.T, s *Server) {
+func waitFor(t *testing.T, what string, cond func() bool) {
 	t.Helper()
 	deadline := time.Now().Add(5 * time.Second)
-	for s.stabCount.Pending() == 0 {
+	for !cond() {
 		if time.Now().After(deadline) {
-			t.Fatal("request never parked in the coalescer window")
+			t.Fatalf("timed out waiting for %s", what)
 		}
 		time.Sleep(time.Millisecond)
 	}
+}
+
+func waitForPending(t *testing.T, s *Server) {
+	t.Helper()
+	waitFor(t, "a request parked in the coalescer window", func() bool { return s.stabCount.Pending() > 0 })
 }

@@ -25,14 +25,17 @@ func WithMeter(m *Meter) Option {
 	}
 }
 
-// WithLedger makes the Engine record phases into l instead of a private
-// per-engine ledger, accumulating phase records across calls (and engines,
-// if shared). The ledger should be backed by the same meter the Engine
-// charges for its phase costs to be meaningful.
+// WithLedger makes the Engine append every run's phase records to l once
+// the run completes, in run order, accumulating them across calls (and
+// engines, if shared). They are the records the run's Report.Phases
+// carries, measured on the Engine's meter. Without this option an Engine
+// keeps no phase history: each run records into a ledger of its own and
+// returns the records in its Report only. WithLedger(nil) turns phase
+// recording off, and Reports then carry no Phases.
 func WithLedger(l *Ledger) Option {
 	return func(e *Engine) {
 		e.ledger = l
-		e.ledgerSet = true
+		e.noPhases = l == nil
 	}
 }
 
